@@ -2,7 +2,8 @@
 //
 // Compares four arms of the same kNN-approximate workload (RandomWalk,
 // Multi-Partitions strategy):
-//   seq/scalar    one KnnApproximate call per query, scalar distance kernels
+//   seq/scalar    one KnnApproximate call (a batch of one) per query, scalar
+//                 distance kernels
 //   seq/simd      same, with the runtime-dispatched SIMD kernels
 //   batch/scalar  QueryEngine::KnnApproximateBatch, scalar kernels
 //   batch/simd    batched engine + SIMD kernels
@@ -11,15 +12,12 @@
 // per scheduling phase instead of once per query; the SIMD arms exercise the
 // AVX2+FMA kernels. Expected shape: batch/simd >= 2x seq/scalar throughput,
 // with the engine's physical partition loads strictly below the sum of the
-// per-query loads, and per-backend results identical between the sequential
-// and batched paths.
+// per-query loads, and per-backend results identical between one-at-a-time
+// and batched calls.
 //
 // Scale knobs (for CI smoke runs): TARDIS_QE_SERIES (default 100000),
-// TARDIS_QE_QUERIES (default 1000). TARDIS_LAYOUT=aos routes partition
-// loads through the legacy AoS decode (two-pass, per-record copies) instead
-// of the single-pass columnar arena — the emitted JSON carries the layout so
-// CI can compare both. Emits BENCH_query_engine.json to the working
-// directory.
+// TARDIS_QE_QUERIES (default 1000). Emits BENCH_query_engine.json to the
+// working directory.
 //
 // --skew runs the tail-latency benchmark instead: a Zipfian query stream
 // (hot records -> hot partitions) is split into sub-batches
@@ -119,16 +117,12 @@ void PrintArm(const char* label, const ArmResult& arm, double base_seconds,
 void Run() {
   const uint64_t count = EnvScale("TARDIS_QE_SERIES", 100000);
   const uint64_t nq = EnvScale("TARDIS_QE_QUERIES", 1000);
-  const char* layout_env = std::getenv("TARDIS_LAYOUT");
-  const char* layout =
-      (layout_env != nullptr && std::string(layout_env) == "aos") ? "aos"
-                                                                  : "arena";
   PrintHeader("Query engine", "partition-batched execution + SIMD kernels");
   std::printf("workload: RandomWalk x %llu, %llu kNN queries, k=%u, "
-              "Multi-Partitions, cache %llu MiB, layout=%s\n\n",
+              "Multi-Partitions, cache %llu MiB\n\n",
               static_cast<unsigned long long>(count),
               static_cast<unsigned long long>(nq), kK,
-              static_cast<unsigned long long>(kCacheBudget >> 20), layout);
+              static_cast<unsigned long long>(kCacheBudget >> 20));
 
   const BlockStore store = GetStore(DatasetKind::kRandomWalk, count);
   const Dataset dataset = LoadAll(store);
@@ -213,7 +207,6 @@ void Run() {
         "  \"queries\": %llu,\n"
         "  \"k\": %u,\n"
         "  \"strategy\": \"multi\",\n"
-        "  \"layout\": \"%s\",\n"
         "  \"simd_backend\": \"%s\",\n"
         "  \"seq_scalar_seconds\": %.6f,\n"
         "  \"batch_scalar_seconds\": %.6f,\n"
@@ -227,7 +220,7 @@ void Run() {
         "  \"pass\": %s\n"
         "}\n",
         static_cast<unsigned long long>(count),
-        static_cast<unsigned long long>(nq), kK, layout,
+        static_cast<unsigned long long>(nq), kK,
         KernelBackendName(simd),
         seq_scalar.seconds, batch_scalar.seconds, seq_simd.seconds,
         batch_simd.seconds, speedup,

@@ -342,10 +342,7 @@ Result<std::vector<Neighbor>> DPiSaxIndex::KnnApproximate(
   // at least k entries (the baseline analogue of Target Node Access).
   const IBTree::Node* node = local.DescendToLeaf(sig);
   while (node->parent != nullptr && node->count < k) node = node->parent;
-  if (stats) {
-    stats->target_node_level = node->depth;
-    stats->candidates = node->range_len;
-  }
+  if (stats) stats->candidates = node->range_len;
 
   const uint32_t end = std::min<uint32_t>(node->range_start + node->range_len,
                                           arena.num_records());

@@ -7,34 +7,22 @@
 // extends the scope to the sibling partitions listed in the Tardis-G parent
 // node, scanning them in parallel with the same threshold.
 //
-// Every partition's delta tail — records appended after the build, which the
-// persisted tree's leaf ranges do not cover — is ranked alongside whatever
-// slice the strategy scans, so appended records are first-class query
-// results. The query runs entirely against one epoch snapshot pinned at
-// entry: a concurrent Append neither changes the records scanned nor the
-// counters reported.
-//
-// The traversal/ranking primitives live in core/query_scan.h, shared with
-// the partition-batched QueryEngine so both paths return identical results.
+// The algorithm runs in QueryEngine::KnnApproximateBatch; a single query is
+// a batch of one. This file keeps the sibling selection the engine uses and
+// the single-query wrapper.
 
 #include <algorithm>
-#include <optional>
 
 #include "common/rng.h"
-#include "common/telemetry.h"
-#include "common/thread_annotations.h"
-#include "core/query_scan.h"
-#include "core/query_telemetry.h"
+#include "core/query_engine.h"
 #include "core/tardis_index.h"
-#include "core/topk.h"
-#include "ts/kernels.h"
 
 namespace tardis {
 
 // Sibling partitions for the Multi-Partitions strategy, capped at pth
 // (random selection keeps the home partition, which lines 10-14 of Alg. 1
-// assume is loaded). Deterministic for a given (signature, seed) so the
-// batched engine selects exactly the partitions the single-query path does.
+// assume is loaded). Deterministic for a given (signature, seed), so a
+// query visits the same partitions in every batch.
 std::vector<PartitionId> TardisIndex::SelectMultiPartitions(
     const GlobalIndex& global, std::string_view sig, PartitionId home) const {
   std::vector<PartitionId> pids = global.SiblingPartitions(sig);
@@ -62,223 +50,28 @@ std::vector<PartitionId> TardisIndex::SelectMultiPartitions(
   return pids;
 }
 
+KnnStats TardisIndex::SingleQueryStats(const QueryEngineStats& batch) {
+  KnnStats stats;
+  stats.partitions_loaded = static_cast<uint32_t>(batch.partitions_loaded);
+  stats.candidates = batch.candidates;
+  stats.pivot_pruned = batch.pivot_pruned;
+  stats.partitions_requested =
+      static_cast<uint32_t>(batch.partitions_requested);
+  stats.partitions_failed = static_cast<uint32_t>(batch.partitions_failed);
+  stats.results_complete = batch.results_complete;
+  stats.epoch_generation = batch.epoch_generation;
+  return stats;
+}
+
 Result<std::vector<Neighbor>> TardisIndex::KnnApproximate(
     const TimeSeries& query, uint32_t k, KnnStrategy strategy,
     KnnStats* stats) const {
-  if (k == 0) return Status::InvalidArgument("k must be >= 1");
-  telemetry::ScopedSpan span("query.knn");
-  if (span.active()) {
-    span.AddAttr("strategy", std::string_view(KnnStrategyName(strategy)));
-    span.AddAttr("k", static_cast<uint64_t>(k));
-  }
-  qtel::PhaseTimer timer("knn");
-  const EpochPtr epoch_sp = CurrentEpoch();
-  const IndexEpoch& epoch = *epoch_sp;
-  TimeSeries normalized;
-  std::vector<double> paa;
-  std::string sig;
-  TARDIS_RETURN_NOT_OK(PrepareQuery(query, &normalized, &paa, &sig));
-  const PivotQuery pq = MakePivotQuery(normalized);
-  uint64_t pivot_pruned = 0;
-  timer.Lap("prepare");
-
-  // (2) Tardis-G identifies the home partition; (3) load it. A home that
-  // cannot be loaded after retries degrades the query instead of failing it:
-  // the scan continues over whatever partitions remain (for MultiPartitions,
-  // the siblings; otherwise nothing) and the stats report the lost coverage.
-  const PartitionId home = epoch.global->LookupPartition(sig);
-  if (home == kInvalidPartition) return Status::Internal("no home partition");
-  std::optional<LocalIndex> home_local;
-  PartitionCache::Value home_loaded;
-  uint32_t requested = 1, failed = 0, loaded = 0;
-  {
-    auto local = LoadLocalIndex(home);
-    if (local.ok()) {
-      auto records = LoadPartitionShared(epoch, home);
-      if (records.ok()) {
-        home_local = std::move(local).value();
-        home_loaded = std::move(records).value();
-        loaded = 1;
-      } else if (IsDegradableLoadError(records.status())) {
-        failed = 1;
-      } else {
-        return records.status();
-      }
-    } else if (IsDegradableLoadError(local.status())) {
-      failed = 1;
-    } else {
-      return local.status();
-    }
-  }
-  timer.Lap("load");
-
-  // The target node's clustered slice; zero until the home index is loaded.
-  // A degraded home reports level 0 — the same value the batched engine
-  // emits — rather than whatever the caller left in the struct.
-  uint32_t target_level = 0;
-  uint32_t target_start = 0;
-  uint32_t target_len = 0;
-
-  auto fill_stats = [&](uint64_t candidates) {
-    if (telemetry::Enabled()) {
-      static telemetry::Counter& queries =
-          telemetry::Registry::Global().GetCounter("tardis.query.knn.count");
-      static telemetry::Counter& cands =
-          telemetry::Registry::Global().GetCounter(
-              "tardis.query.knn.candidates");
-      static telemetry::Counter& degraded =
-          telemetry::Registry::Global().GetCounter(
-              "tardis.query.knn.degraded");
-      queries.Add(1);
-      cands.Add(candidates);
-      if (failed > 0) degraded.Add(1);
-    }
-    if (stats == nullptr) return;
-    stats->candidates = candidates;
-    stats->pivot_pruned = pivot_pruned;
-    stats->target_node_level = target_level;
-    stats->partitions_loaded = loaded;
-    stats->partitions_requested = requested;
-    stats->partitions_failed = failed;
-    stats->results_complete = failed == 0;
-    stats->epoch_generation = epoch.generation;
-  };
-
-  // (4) Target Node Access: rank the target node's clustered slice, then the
-  // home partition's delta tail (tree-uncovered appended records). Both feed
-  // the real counters — this is each record's single accounting.
-  uint64_t candidates = 0;
-  TopK topk(k);
-  if (home_local.has_value()) {
-    const SigTree::Node* target =
-        qscan::FindTargetNode(home_local->tree(), sig, k);
-    target_level = target->level;
-    target_start = target->range_start;
-    target_len = target->range_len;
-    qscan::RankRange(*home_loaded, target_start, target_len, normalized,
-                     &topk, &candidates, &pq, &pivot_pruned);
-    qscan::RankRange(*home_loaded, home_loaded->num_base_records(),
-                     home_loaded->num_records() - home_loaded->num_base_records(),
-                     normalized, &topk, &candidates, &pq, &pivot_pruned);
-  }
-
-  if (strategy == KnnStrategy::kTargetNode) {
-    timer.Lap("scan");
-    fill_stats(candidates);
-    return topk.Take();
-  }
-
-  // Optimized strategies: the k-th distance from the target node becomes the
-  // pruning threshold for a wider scan (infinite when the home was skipped,
-  // so the remaining partitions are scanned unpruned).
-  const double threshold = topk.Threshold();
-  const MindistTable mind(paa, static_cast<uint8_t>(codec().max_bits()),
-                          normalized.size());
-
-  // Re-ranking the home tail into a wider TopK routes both counters to
-  // dummies, exactly like PrunedScan's seeded leaves: the seed pass above
-  // already accounted those rows once.
-  auto rerank_home_tail = [&](TopK* out, uint64_t* dummy_cand,
-                              uint64_t* dummy_pruned) {
-    qscan::RankRange(*home_loaded, home_loaded->num_base_records(),
-                     home_loaded->num_records() - home_loaded->num_base_records(),
-                     normalized, out, dummy_cand, &pq, dummy_pruned);
-  };
-
-  if (strategy == KnnStrategy::kOnePartition) {
-    TopK wide(k);
-    if (home_local.has_value()) {
-      home_local->tree().EnsureWords();
-      // The target slice (and the tail) was already counted by the seed pass
-      // above; the exclusion range keeps each record's candidate count at
-      // one, and the tail re-rank uses dummy counters for the same reason.
-      qscan::PrunedScan(home_local->tree(), *home_loaded, mind, normalized,
-                        threshold, &wide, &candidates, target_start,
-                        target_len, &pq, &pivot_pruned);
-      uint64_t dummy_cand = 0, dummy_pruned = 0;
-      rerank_home_tail(&wide, &dummy_cand, &dummy_pruned);
-    }
-    timer.Lap("scan");
-    fill_stats(candidates);
-    return wide.Take();
-  }
-
-  // Multi-Partitions Access (Alg. 1): extend to the sibling partitions from
-  // the Tardis-G parent node.
-  const std::vector<PartitionId> pids =
-      SelectMultiPartitions(*epoch.global, sig, home);
-  requested = static_cast<uint32_t>(pids.size());
-
-  // Scan all selected partitions in parallel; each produces a local top-k.
-  // A sibling that cannot be loaded after retries is skipped (degraded
-  // coverage); non-transient errors still abort the query.
-  Mutex mu;
-  TopK merged(k);
-  uint64_t total_candidates = candidates;
-  uint64_t total_pivot_pruned = pivot_pruned;
-  Status first_error;
-  timer.Skip();  // sibling load + scan time is recorded inside the tasks
-  cluster_->pool().ParallelFor(pids.size(), [&](size_t i) {
-    const PartitionId pid = pids[i];
-    TopK part_topk(k);
-    uint64_t part_candidates = 0;
-    uint64_t part_pruned = 0;
-    qtel::PhaseTimer part_timer("knn");
-    if (pid == home) {
-      if (!home_local.has_value()) return;  // already counted as failed
-      home_local->tree().EnsureWords();
-      part_timer.Skip();
-      // The target slice and tail were counted by the seed pass; see
-      // kOnePartition.
-      qscan::PrunedScan(home_local->tree(), *home_loaded, mind, normalized,
-                        threshold, &part_topk, &part_candidates, target_start,
-                        target_len, &pq, &part_pruned);
-      uint64_t dummy_cand = 0, dummy_pruned = 0;
-      rerank_home_tail(&part_topk, &dummy_cand, &dummy_pruned);
-      part_timer.Lap("scan");
-    } else {
-      auto handle_load_error = [&](const Status& st) {
-        MutexLock lock(mu);
-        if (IsDegradableLoadError(st)) {
-          ++failed;
-        } else if (first_error.ok()) {
-          first_error = st;
-        }
-      };
-      auto local = LoadLocalIndex(pid);
-      if (!local.ok()) {
-        handle_load_error(local.status());
-        return;
-      }
-      auto records = LoadPartitionShared(epoch, pid);
-      if (!records.ok()) {
-        handle_load_error(records.status());
-        return;
-      }
-      part_timer.Lap("load");
-      local->tree().EnsureWords();
-      qscan::PrunedScan(local->tree(), **records, mind, normalized, threshold,
-                        &part_topk, &part_candidates, 0, 0, &pq, &part_pruned);
-      // A sibling's tail is counted here for the first time: real counters.
-      qscan::RankRange(**records, (*records)->num_base_records(),
-                       (*records)->num_records() -
-                           (*records)->num_base_records(),
-                       normalized, &part_topk, &part_candidates, &pq,
-                       &part_pruned);
-      part_timer.Lap("scan");
-    }
-    auto part = part_topk.Take();
-    MutexLock lock(mu);
-    for (const Neighbor& nb : part) merged.Offer(nb.distance, nb.rid);
-    total_candidates += part_candidates;
-    total_pivot_pruned += part_pruned;
-    if (pid != home) ++loaded;
-  });
-  TARDIS_RETURN_NOT_OK(first_error);
-  timer.Lap("merge");
-  pivot_pruned = total_pivot_pruned;
-  fill_stats(total_candidates);
-  return merged.Take();
+  QueryEngineStats batch;
+  TARDIS_ASSIGN_OR_RETURN(
+      std::vector<std::vector<Neighbor>> results,
+      QueryEngine(*this).KnnApproximateBatch({query}, k, strategy, &batch));
+  if (stats != nullptr) *stats = SingleQueryStats(batch);
+  return std::move(results[0]);
 }
 
 }  // namespace tardis

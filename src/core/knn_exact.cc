@@ -89,7 +89,6 @@ Result<std::vector<Neighbor>> TardisIndex::KnnExact(const TimeSeries& query,
     stats->partitions_loaded = loaded;
     stats->candidates = candidates;
     stats->pivot_pruned = pivot_pruned;
-    stats->target_node_level = 0;
     stats->epoch_generation = epoch.generation;
   }
   return topk.Take();

@@ -7,6 +7,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "common/stopwatch.h"
@@ -61,6 +62,33 @@ bool SchedulingDefault() {
 
 }  // namespace
 
+// The load bookkeeping one batch call shares across its partition tasks.
+struct QueryEngine::BatchLoads {
+  explicit BatchLoads(bool degrade) : degrade(degrade) {}
+
+  // A load that fails after retries is skipped when the query type degrades
+  // (its queries lose that partition's records, and the batch keeps
+  // answering); any other failure becomes the batch's error.
+  void Fail(const Status& st) {
+    if (degrade && IsDegradableLoadError(st)) {
+      failed.fetch_add(1, std::memory_order_relaxed);
+      return;
+    }
+    MutexLock lock(mu);
+    if (first_error.ok()) first_error = st;
+  }
+  Status Error() {
+    MutexLock lock(mu);
+    return first_error;
+  }
+
+  const bool degrade;
+  std::atomic<uint64_t> failed{0};
+  Mutex mu;
+  std::vector<ScopedPin> pins TARDIS_GUARDED_BY(mu);  // released on return
+  Status first_error TARDIS_GUARDED_BY(mu);
+};
+
 QueryEngine::QueryEngine(const TardisIndex& index)
     : index_(&index), sched_enabled_(SchedulingDefault()) {}
 
@@ -89,6 +117,30 @@ void QueryEngine::RunPartitionPhase(
                  cache->IsResident(TardisIndex::EpochKey(epoch, t.pid));
   }
   sched_.Run(tasks, &pool, pool.num_threads(), fn);
+}
+
+PartitionCache::Value QueryEngine::LoadPinned(
+    const IndexEpoch& epoch, PartitionId pid, BatchLoads* loads,
+    std::optional<LocalIndex>* tree) const {
+  if (tree != nullptr) {
+    auto local = index_->LoadLocalIndex(pid);
+    if (!local.ok()) {
+      loads->Fail(local.status());
+      return nullptr;
+    }
+    tree->emplace(std::move(local).value());
+  }
+  auto records = index_->LoadPartitionShared(epoch, pid);
+  if (!records.ok()) {
+    loads->Fail(records.status());
+    return nullptr;
+  }
+  if (index_->cache_ != nullptr) {
+    MutexLock lock(loads->mu);
+    loads->pins.emplace_back(index_->cache_.get(),
+                             TardisIndex::EpochKey(epoch, pid));
+  }
+  return std::move(records).value();
 }
 
 Result<std::vector<std::vector<Neighbor>>> QueryEngine::KnnApproximateBatch(
@@ -120,10 +172,10 @@ Result<std::vector<std::vector<Neighbor>>> QueryEngine::KnnApproximateBatch(
   std::vector<PivotQuery> pqs(nq);
   const uint8_t table_bits = static_cast<uint8_t>(index_->codec().max_bits());
   // kMultiPartitions bookkeeping: per-query threshold, deterministic
-  // partition list (shared with the single-query path), the home's position
-  // in it, and one partial result slot per listed partition. Thresholds
-  // start at infinity so a query whose home partition failed to load scans
-  // its siblings unpruned — matching the single-query degraded path.
+  // partition list (SelectMultiPartitions), the home's position in it, and
+  // one partial result slot per listed partition. Thresholds start at
+  // infinity so a query whose home partition failed to load scans its
+  // siblings unpruned.
   std::vector<double> thresholds(nq, std::numeric_limits<double>::infinity());
   std::vector<std::vector<PartitionId>> multi_pids(nq);
   std::vector<size_t> home_slot(nq, 0);
@@ -161,24 +213,9 @@ Result<std::vector<std::vector<Neighbor>>> QueryEngine::KnnApproximateBatch(
   home_groups.reserve(by_home.size());
   for (const auto& [pid, qs] : by_home) home_groups.emplace_back(pid, &qs);
 
-  PartitionCache* cache = index_->cache_.get();
-  std::vector<ScopedPin> pins;  // released when the batch returns
-  Mutex mu;
-  Status first_error;
+  BatchLoads loads(/*degrade=*/true);
   std::atomic<uint64_t> candidates{0};
   std::atomic<uint64_t> pivot_pruned{0};
-  std::atomic<uint64_t> failed{0};
-  // A partition task whose load fails after retries is skipped: the queries
-  // assigned to it lose that partition's records (degraded coverage) but the
-  // batch keeps answering. Non-transient errors still abort.
-  auto handle_load_error = [&](const Status& st) {
-    if (IsDegradableLoadError(st)) {
-      failed.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    MutexLock lock(mu);
-    if (first_error.ok()) first_error = st;
-  };
 
   // --- Phase B: one task per distinct home partition; every query homed
   // there runs its target-node ranking (and, except for kMultiPartitions,
@@ -192,24 +229,14 @@ Result<std::vector<std::vector<Neighbor>>> QueryEngine::KnnApproximateBatch(
     const PartitionId pid = home_groups[gi].first;
     const std::vector<size_t>& qs = *home_groups[gi].second;
     qtel::PhaseTimer task_timer("batch.knn");
-    auto local = index_->LoadLocalIndex(pid);
-    if (!local.ok()) {
-      handle_load_error(local.status());
-      return;
-    }
-    auto records = index_->LoadPartitionShared(epoch, pid);
-    if (!records.ok()) {
-      handle_load_error(records.status());
-      return;
-    }
+    std::optional<LocalIndex> local;
+    const PartitionCache::Value records =
+        LoadPinned(epoch, pid, &loads, &local);
+    if (records == nullptr) return;
     task_timer.Lap("load");
-    if (cache != nullptr) {
-      MutexLock lock(mu);
-      pins.emplace_back(cache, TardisIndex::EpochKey(epoch, pid));
-    }
     if (strategy != KnnStrategy::kTargetNode) local->tree().EnsureWords();
-    const uint32_t tail_start = (*records)->num_base_records();
-    const uint32_t tail_len = (*records)->num_records() - tail_start;
+    const uint32_t tail_start = records->num_base_records();
+    const uint32_t tail_len = records->num_records() - tail_start;
     uint64_t cand = 0;
     uint64_t pruned = 0;
     task_timer.Skip();
@@ -219,11 +246,11 @@ Result<std::vector<std::vector<Neighbor>>> QueryEngine::KnnApproximateBatch(
           qscan::FindTargetNode(local->tree(), p.sig, k);
       TopK topk(k);
       // Seed pass: the target slice, then the delta tail (appended records
-      // the persisted tree does not cover) — same order and counter
-      // discipline as the single-query path, so counts stay bit-identical.
-      qscan::RankRange(**records, target->range_start, target->range_len,
+      // the persisted tree does not cover). These are each record's single
+      // accounting; the wider scans below count them nowhere else.
+      qscan::RankRange(*records, target->range_start, target->range_len,
                        p.normalized, &topk, &cand, &pqs[q], &pruned);
-      qscan::RankRange(**records, tail_start, tail_len, p.normalized, &topk,
+      qscan::RankRange(*records, tail_start, tail_len, p.normalized, &topk,
                        &cand, &pqs[q], &pruned);
       if (strategy == KnnStrategy::kTargetNode) {
         results[q] = topk.Take();
@@ -235,12 +262,11 @@ Result<std::vector<std::vector<Neighbor>>> QueryEngine::KnnApproximateBatch(
         TopK wide(k);
         // The target slice and tail were counted by the seed pass above; the
         // exclusion range (and the dummy-counter tail re-rank) keeps each
-        // record's candidate count at one, mirroring the single-query path
-        // bit for bit.
-        qscan::PrunedScan(local->tree(), **records, *tables[q], p.normalized,
+        // record's candidate count at one.
+        qscan::PrunedScan(local->tree(), *records, *tables[q], p.normalized,
                           threshold, &wide, &cand, target->range_start,
                           target->range_len, &pqs[q], &pruned);
-        qscan::RankRange(**records, tail_start, tail_len, p.normalized, &wide,
+        qscan::RankRange(*records, tail_start, tail_len, p.normalized, &wide,
                          &dummy_cand, &pqs[q], &dummy_pruned);
         results[q] = wide.Take();
         continue;
@@ -249,10 +275,10 @@ Result<std::vector<std::vector<Neighbor>>> QueryEngine::KnnApproximateBatch(
       // partitions are handled by phase C.
       thresholds[q] = threshold;
       TopK part(k);
-      qscan::PrunedScan(local->tree(), **records, *tables[q], p.normalized,
+      qscan::PrunedScan(local->tree(), *records, *tables[q], p.normalized,
                         threshold, &part, &cand, target->range_start,
                         target->range_len, &pqs[q], &pruned);
-      qscan::RankRange(**records, tail_start, tail_len, p.normalized, &part,
+      qscan::RankRange(*records, tail_start, tail_len, p.normalized, &part,
                        &dummy_cand, &pqs[q], &dummy_pruned);
       partials[q][home_slot[q]] = part.Take();
     }
@@ -262,8 +288,8 @@ Result<std::vector<std::vector<Neighbor>>> QueryEngine::KnnApproximateBatch(
   });
   acc.partitions_requested += home_groups.size();
   acc.partitions_loaded +=
-      home_groups.size() - failed.load(std::memory_order_relaxed);
-  TARDIS_RETURN_NOT_OK(first_error);
+      home_groups.size() - loads.failed.load(std::memory_order_relaxed);
+  TARDIS_RETURN_NOT_OK(loads.Error());
 
   if (strategy == KnnStrategy::kMultiPartitions) {
     // --- Phase C: one task per distinct sibling partition across the whole
@@ -280,7 +306,8 @@ Result<std::vector<std::vector<Neighbor>>> QueryEngine::KnnApproximateBatch(
     groups.reserve(by_pid.size());
     for (const auto& [pid, tasks] : by_pid) groups.emplace_back(pid, &tasks);
 
-    const uint64_t failed_before = failed.load(std::memory_order_relaxed);
+    const uint64_t failed_before =
+        loads.failed.load(std::memory_order_relaxed);
     std::vector<std::pair<PartitionId, uint32_t>> sib_parts;
     sib_parts.reserve(groups.size());
     for (const auto& [pid, tasks] : groups) {
@@ -290,35 +317,25 @@ Result<std::vector<std::vector<Neighbor>>> QueryEngine::KnnApproximateBatch(
       const PartitionId pid = groups[gi].first;
       const std::vector<SlotTask>& tasks = *groups[gi].second;
       qtel::PhaseTimer task_timer("batch.knn");
-      auto local = index_->LoadLocalIndex(pid);
-      if (!local.ok()) {
-        handle_load_error(local.status());
-        return;
-      }
-      auto records = index_->LoadPartitionShared(epoch, pid);
-      if (!records.ok()) {
-        handle_load_error(records.status());
-        return;
-      }
+      std::optional<LocalIndex> local;
+      const PartitionCache::Value records =
+          LoadPinned(epoch, pid, &loads, &local);
+      if (records == nullptr) return;
       task_timer.Lap("load");
-      if (cache != nullptr) {
-        MutexLock lock(mu);
-        pins.emplace_back(cache, TardisIndex::EpochKey(epoch, pid));
-      }
       local->tree().EnsureWords();
-      const uint32_t tail_start = (*records)->num_base_records();
-      const uint32_t tail_len = (*records)->num_records() - tail_start;
+      const uint32_t tail_start = records->num_base_records();
+      const uint32_t tail_len = records->num_records() - tail_start;
       uint64_t cand = 0;
       uint64_t pruned = 0;
       task_timer.Skip();
       for (const auto& [q, slot] : tasks) {
         TopK part(k);
-        qscan::PrunedScan(local->tree(), **records, *tables[q],
+        qscan::PrunedScan(local->tree(), *records, *tables[q],
                           prep[q].normalized, thresholds[q], &part, &cand, 0,
                           0, &pqs[q], &pruned);
         // A sibling's delta tail is counted here for the first time: real
-        // counters, matching the single-query sibling branch.
-        qscan::RankRange(**records, tail_start, tail_len, prep[q].normalized,
+        // counters.
+        qscan::RankRange(*records, tail_start, tail_len, prep[q].normalized,
                          &part, &cand, &pqs[q], &pruned);
         partials[q][slot] = part.Take();
       }
@@ -329,8 +346,8 @@ Result<std::vector<std::vector<Neighbor>>> QueryEngine::KnnApproximateBatch(
     acc.partitions_requested += groups.size();
     acc.partitions_loaded +=
         groups.size() -
-        (failed.load(std::memory_order_relaxed) - failed_before);
-    TARDIS_RETURN_NOT_OK(first_error);
+        (loads.failed.load(std::memory_order_relaxed) - failed_before);
+    TARDIS_RETURN_NOT_OK(loads.Error());
 
     // Merge the per-partition top-k lists in the query's deterministic
     // partition order.
@@ -347,7 +364,7 @@ Result<std::vector<std::vector<Neighbor>>> QueryEngine::KnnApproximateBatch(
 
   acc.candidates = candidates.load(std::memory_order_relaxed);
   acc.pivot_pruned = pivot_pruned.load(std::memory_order_relaxed);
-  acc.partitions_failed = failed.load(std::memory_order_relaxed);
+  acc.partitions_failed = loads.failed.load(std::memory_order_relaxed);
   acc.results_complete = acc.partitions_failed == 0;
   acc.wall_seconds = sw.ElapsedSeconds();
   PublishBatchStats("batch.knn", acc);
@@ -378,7 +395,10 @@ Result<std::vector<std::vector<RecordId>>> QueryEngine::ExactMatchBatch(
     TARDIS_RETURN_NOT_OK(index_->PrepareQuery(
         queries[q], &prep[q].normalized, &prep[q].paa, &prep[q].sig));
     const PartitionId pid = epoch.global->LookupPartition(prep[q].sig);
-    if (pid == kInvalidPartition) continue;  // proven absent, empty result
+    if (pid == kInvalidPartition) {
+      ++acc.descent_failures;  // Tardis-G miss: proven absent, empty result
+      continue;
+    }
     if (use_bloom && pid < epoch.blooms.size() &&
         epoch.blooms[pid] != nullptr &&
         !epoch.blooms[pid]->MayContain(prep[q].sig)) {
@@ -394,11 +414,12 @@ Result<std::vector<std::vector<RecordId>>> QueryEngine::ExactMatchBatch(
   groups.reserve(by_pid.size());
   for (const auto& [pid, qs] : by_pid) groups.emplace_back(pid, &qs);
 
-  PartitionCache* cache = index_->cache_.get();
-  std::vector<ScopedPin> pins;
-  Mutex mu;
-  Status first_error;
+  // Exact match keeps strict semantics: a partition that cannot be loaded is
+  // an error, not a silently incomplete answer (absence claims must be
+  // provable).
+  BatchLoads loads(/*degrade=*/false);
   std::atomic<uint64_t> candidates{0};
+  std::atomic<uint64_t> descent_failures{0};
 
   std::vector<std::pair<PartitionId, uint32_t>> parts;
   parts.reserve(groups.size());
@@ -411,8 +432,7 @@ Result<std::vector<std::vector<RecordId>>> QueryEngine::ExactMatchBatch(
     qtel::PhaseTimer task_timer("batch.exact");
     auto local = index_->LoadLocalIndex(pid);
     if (!local.ok()) {
-      MutexLock lock(mu);
-      if (first_error.ok()) first_error = local.status();
+      loads.Fail(local.status());
       return;
     }
     task_timer.Lap("load");
@@ -420,7 +440,7 @@ Result<std::vector<std::vector<RecordId>>> QueryEngine::ExactMatchBatch(
     // Tardis-L descent (proven absent), the partition file is never read.
     // With a delta tail the descent no longer proves absence — appended
     // records live outside the persisted tree — so tailed partitions load
-    // whenever any query reaches them, exactly like the sequential path.
+    // whenever any query reaches them.
     const bool has_tail = !TardisIndex::DeltaGens(epoch, pid).empty();
     PartitionCache::Value records;
     uint64_t cand = 0;
@@ -428,37 +448,28 @@ Result<std::vector<std::vector<RecordId>>> QueryEngine::ExactMatchBatch(
     for (size_t q : qs) {
       const SigTree::Node* leaf = local->tree().Descend(prep[q].sig);
       const bool leaf_ok = leaf->is_leaf();
+      if (!leaf_ok) descent_failures.fetch_add(1, std::memory_order_relaxed);
       if (!leaf_ok && !has_tail) continue;
       if (records == nullptr) {
         qtel::PhaseTimer load_timer("batch.exact");
-        auto loaded = index_->LoadPartitionShared(epoch, pid);
-        if (!loaded.ok()) {
-          MutexLock lock(mu);
-          if (first_error.ok()) first_error = loaded.status();
-          return;
-        }
+        records = LoadPinned(epoch, pid, &loads, nullptr);
+        if (records == nullptr) return;
         load_timer.Lap("load");
         task_timer.Skip();  // keep the lazy load out of the scan lap
-        records = *loaded;
-        if (cache != nullptr) {
-          MutexLock lock(mu);
-          pins.emplace_back(cache, TardisIndex::EpochKey(epoch, pid));
-        }
       }
       if (leaf_ok) {
         const uint32_t end = leaf->range_start + leaf->range_len;
         for (uint32_t i = leaf->range_start;
              i < end && i < records->num_records(); ++i) {
           ++cand;
-          // Element-wise float equality, matching the sequential ExactMatch.
+          // Element-wise float equality (so -0.0/NaN follow float ==).
           if (std::equal(prep[q].normalized.begin(), prep[q].normalized.end(),
                          records->values(i))) {
             results[q].push_back(records->rid(i));
           }
         }
       }
-      // The delta tail, scanned after the leaf slice (same order as the
-      // sequential path, so rid order and candidate counts match).
+      // The delta tail, scanned after the leaf slice.
       for (uint32_t i = records->num_base_records();
            i < records->num_records(); ++i) {
         ++cand;
@@ -471,13 +482,11 @@ Result<std::vector<std::vector<RecordId>>> QueryEngine::ExactMatchBatch(
     task_timer.Lap("scan");
     candidates.fetch_add(cand, std::memory_order_relaxed);
   });
-  // Exact match keeps strict semantics: a partition that cannot be loaded is
-  // an error, not a silently incomplete answer (absence claims must be
-  // provable).
   acc.partitions_loaded = groups.size();
   acc.partitions_requested = groups.size();
-  TARDIS_RETURN_NOT_OK(first_error);
+  TARDIS_RETURN_NOT_OK(loads.Error());
 
+  acc.descent_failures += descent_failures.load(std::memory_order_relaxed);
   acc.candidates = candidates.load(std::memory_order_relaxed);
   acc.wall_seconds = sw.ElapsedSeconds();
   PublishBatchStats("batch.exact", acc);
@@ -538,24 +547,12 @@ Result<std::vector<std::vector<Neighbor>>> QueryEngine::RangeSearchBatch(
   groups.reserve(by_pid.size());
   for (const auto& [pid, tasks] : by_pid) groups.emplace_back(pid, &tasks);
 
-  PartitionCache* cache = index_->cache_.get();
-  std::vector<ScopedPin> pins;
-  Mutex mu;
-  Status first_error;
-  std::atomic<uint64_t> candidates{0};
-  std::atomic<uint64_t> pivot_pruned{0};
-  std::atomic<uint64_t> failed{0};
   // Degraded mode: a partition that cannot be loaded after retries is
   // skipped (its partial-result slots stay empty) and reported via the
   // coverage stats; non-transient errors abort the batch.
-  auto handle_load_error = [&](const Status& st) {
-    if (IsDegradableLoadError(st)) {
-      failed.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    MutexLock lock(mu);
-    if (first_error.ok()) first_error = st;
-  };
+  BatchLoads loads(/*degrade=*/true);
+  std::atomic<uint64_t> candidates{0};
+  std::atomic<uint64_t> pivot_pruned{0};
 
   std::vector<std::pair<PartitionId, uint32_t>> parts;
   parts.reserve(groups.size());
@@ -566,34 +563,24 @@ Result<std::vector<std::vector<Neighbor>>> QueryEngine::RangeSearchBatch(
     const PartitionId pid = groups[gi].first;
     const std::vector<SlotTask>& tasks = *groups[gi].second;
     qtel::PhaseTimer task_timer("batch.range");
-    auto local = index_->LoadLocalIndex(pid);
-    if (!local.ok()) {
-      handle_load_error(local.status());
-      return;
-    }
-    auto records = index_->LoadPartitionShared(epoch, pid);
-    if (!records.ok()) {
-      handle_load_error(records.status());
-      return;
-    }
+    std::optional<LocalIndex> local;
+    const PartitionCache::Value records =
+        LoadPinned(epoch, pid, &loads, &local);
+    if (records == nullptr) return;
     task_timer.Lap("load");
-    if (cache != nullptr) {
-      MutexLock lock(mu);
-      pins.emplace_back(cache, TardisIndex::EpochKey(epoch, pid));
-    }
     local->tree().EnsureWords();
-    const uint32_t tail_start = (*records)->num_base_records();
-    const uint32_t tail_len = (*records)->num_records() - tail_start;
+    const uint32_t tail_start = records->num_base_records();
+    const uint32_t tail_len = records->num_records() - tail_start;
     uint64_t cand = 0;
     uint64_t pruned = 0;
     task_timer.Skip();
     for (const auto& [q, slot] : tasks) {
-      qscan::RangeScan(local->tree(), **records, *tables[q],
+      qscan::RangeScan(local->tree(), *records, *tables[q],
                        prep[q].normalized, radius, &partials[q][slot], &cand,
                        &pqs[q], &pruned);
-      // Delta tail after the tree scan, as in the sequential path (results
-      // are sorted at merge, so collection order is immaterial).
-      qscan::RangeScanRange(**records, tail_start, tail_len,
+      // Delta tail after the tree scan (results are sorted at merge, so
+      // collection order is immaterial).
+      qscan::RangeScanRange(*records, tail_start, tail_len,
                             prep[q].normalized, radius, &partials[q][slot],
                             &cand, &pqs[q], &pruned);
     }
@@ -602,10 +589,10 @@ Result<std::vector<std::vector<Neighbor>>> QueryEngine::RangeSearchBatch(
     pivot_pruned.fetch_add(pruned, std::memory_order_relaxed);
   });
   acc.partitions_requested = groups.size();
-  acc.partitions_failed = failed.load(std::memory_order_relaxed);
+  acc.partitions_failed = loads.failed.load(std::memory_order_relaxed);
   acc.partitions_loaded = groups.size() - acc.partitions_failed;
   acc.results_complete = acc.partitions_failed == 0;
-  TARDIS_RETURN_NOT_OK(first_error);
+  TARDIS_RETURN_NOT_OK(loads.Error());
 
   timer.Skip();
   for (size_t q = 0; q < nq; ++q) {

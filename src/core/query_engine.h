@@ -1,29 +1,33 @@
-// QueryEngine: partition-batched execution of the TARDIS query algorithms.
+// QueryEngine: partition-batched execution of the TARDIS query algorithms,
+// and the only implementation of exact match, kNN-approximate and range
+// search. The single-query entry points (TardisIndex::ExactMatch /
+// KnnApproximate / RangeSearch) are batches of one, so a query answers the
+// same whether it arrives alone, in a CLI batch, or coalesced by the server.
 //
-// The single-query entry points (TardisIndex::KnnApproximate / ExactMatch /
-// RangeSearch) pay one partition load per query per partition touched. A
-// query batch usually concentrates on far fewer distinct partitions than it
-// has queries (the paper's Fig. 15/16 workloads draw queries from the
+// A query batch usually concentrates on far fewer distinct partitions than
+// it has queries (the paper's Fig. 15/16 workloads draw queries from the
 // indexed distribution), so the engine inverts the loop: it prepares every
 // query up front (z-normalisation, PAA, iSAX-T signature, home partition via
 // Tardis-G), groups queries by the partitions they must visit, and schedules
 // one task per *partition* on the cluster thread pool. Each partition is
 // loaded once — through the byte-budgeted PartitionCache when one is
 // configured, pinned for the duration of the batch — and scanned for all
-// queries assigned to it; per-query results are then merged.
+// queries assigned to it; per-query results are then merged in each query's
+// deterministic partition order.
 //
-// Results are identical to issuing the queries one at a time with the same
-// strategy: both paths share the traversal/ranking primitives in
-// core/query_scan.h and the engine merges per-partition partials in a
-// deterministic order. (The only divergence window is an exact tie at the
-// k-th distance, where the single-query path is itself merge-order
-// dependent.)
+// Per-query work does not depend on the batch around it: each query ranks
+// every partition into its own top-k and merges them in its own partition
+// order, so its results and its candidates, pivot_pruned and partition list
+// are the same in a batch of N as in a batch of one. There is no second
+// path to diverge from. (Among records tied at the k-th distance, which
+// ones are kept follows that fixed scan order; see core/topk.h.)
 
 #ifndef TARDIS_CORE_QUERY_ENGINE_H_
 #define TARDIS_CORE_QUERY_ENGINE_H_
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -47,6 +51,9 @@ struct QueryEngineStats {
   // distance kernel (see KnnStats::pivot_pruned).
   uint64_t pivot_pruned = 0;
   uint64_t bloom_negatives = 0;   // exact match only
+  // Exact match only: queries proven absent by a failed descent — a Tardis-G
+  // miss, or a Tardis-L descent that stops above the leaves.
+  uint64_t descent_failures = 0;
   double wall_seconds = 0.0;
   // Degraded-mode coverage, at partition-task granularity: the batch
   // scheduled `partitions_requested` distinct partition loads and
@@ -105,6 +112,14 @@ class QueryEngine {
       const IndexEpoch& epoch,
       const std::vector<std::pair<PartitionId, uint32_t>>& parts,
       const std::function<void(size_t)>& fn) const;
+
+  struct BatchLoads;
+
+  // Loads pid's Tardis-L into `*tree` (unless null), then its records in
+  // `epoch`, pinned until the batch returns; null after a failed load.
+  PartitionCache::Value LoadPinned(const IndexEpoch& epoch, PartitionId pid,
+                                   BatchLoads* loads,
+                                   std::optional<LocalIndex>* tree) const;
 
   const TardisIndex* index_;
   // The cost model learns across batches on the same engine (EWMA), so the

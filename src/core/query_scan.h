@@ -1,8 +1,6 @@
-// Internal scan primitives shared by the single-query algorithms
-// (knn.cc, knn_exact.cc, range_search.cc) and the partition-batched
-// QueryEngine. Keeping both paths on the *same* traversal and ranking code
-// is what makes the batched results provably identical to issuing the
-// queries one by one.
+// Internal scan primitives shared by the partition-batched QueryEngine
+// (exact match, kNN-approximate, range search) and exact kNN
+// (knn_exact.cc).
 //
 // All scans use an explicit node stack (children pushed in reverse so pops
 // follow the recursive preorder they replaced) instead of std::function

@@ -1,5 +1,5 @@
-// Per-phase query timing helpers shared by the single-query algorithms and
-// the batched QueryEngine. Each query path splits into the same four phases
+// Per-phase query timing helpers shared by the batched QueryEngine and
+// exact kNN. Each query path splits into the same four phases
 // the paper's per-stage breakdowns use — prepare (normalise/PAA/signature),
 // load (partition + sidecar reads), scan (tree traversal + ranking), merge
 // (combining per-partition top-k) — and records each into a histogram named

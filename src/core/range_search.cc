@@ -4,102 +4,24 @@
 // the same two-level lower-bound pruning as exact kNN: partitions whose
 // region-summary bound exceeds the radius are never loaded; within a
 // partition, Tardis-L subtrees are pruned the same way (RangeScan in
-// core/query_scan.h, shared with the batched QueryEngine); surviving
-// candidates are verified against the raw values.
+// core/query_scan.h); surviving candidates are verified against the raw
+// values. The algorithm runs in QueryEngine::RangeSearchBatch; a single
+// query is a batch of one.
 
-#include <algorithm>
-
-#include "common/telemetry.h"
-#include "core/query_scan.h"
-#include "core/query_telemetry.h"
+#include "core/query_engine.h"
 #include "core/tardis_index.h"
-#include "ts/kernels.h"
 
 namespace tardis {
 
 Result<std::vector<Neighbor>> TardisIndex::RangeSearch(const TimeSeries& query,
                                                        double radius,
                                                        KnnStats* stats) const {
-  if (radius < 0.0) return Status::InvalidArgument("radius must be >= 0");
-  const EpochPtr epoch_sp = CurrentEpoch();
-  const IndexEpoch& epoch = *epoch_sp;
-  if (epoch.regions.size() != num_partitions()) {
-    return Status::Internal("region summaries unavailable");
-  }
-  telemetry::ScopedSpan span("query.range");
-  qtel::PhaseTimer timer("range");
-  TimeSeries normalized;
-  std::vector<double> paa;
-  std::string sig;
-  TARDIS_RETURN_NOT_OK(PrepareQuery(query, &normalized, &paa, &sig));
-  const PivotQuery pq = MakePivotQuery(normalized);
-  uint64_t pivot_pruned = 0;
-
-  const MindistTable mind(paa, static_cast<uint8_t>(codec().max_bits()),
-                          normalized.size());
-  timer.Lap("prepare");
-  std::vector<Neighbor> results;
-  uint64_t candidates = 0;
-  uint32_t loaded = 0, requested = 0, failed = 0;
-  for (PartitionId pid = 0; pid < num_partitions(); ++pid) {
-    // The region summary is Extend()ed over appended words, so it lower
-    // bounds the delta tail as well — skipping here loses nothing.
-    if (epoch.regions[pid].Mindist(paa, normalized.size()) > radius) continue;
-    ++requested;
-    timer.Skip();
-    // A partition that cannot be loaded after retries is skipped: the query
-    // keeps answering from the remaining partitions and reports the lost
-    // coverage through the stats. Non-transient errors still abort.
-    auto local = LoadLocalIndex(pid);
-    if (!local.ok()) {
-      if (IsDegradableLoadError(local.status())) {
-        ++failed;
-        continue;
-      }
-      return local.status();
-    }
-    auto records = LoadPartitionShared(epoch, pid);
-    if (!records.ok()) {
-      if (IsDegradableLoadError(records.status())) {
-        ++failed;
-        continue;
-      }
-      return records.status();
-    }
-    timer.Lap("load");
-    local->tree().EnsureWords();
-    qscan::RangeScan(local->tree(), **records, mind, normalized, radius,
-                     &results, &candidates, &pq, &pivot_pruned);
-    // The delta tail is outside every leaf range; range-collection order
-    // cannot matter (results are sorted below), so the tail runs last.
-    qscan::RangeScanRange(**records, (*records)->num_base_records(),
-                          (*records)->num_records() -
-                              (*records)->num_base_records(),
-                          normalized, radius, &results, &candidates, &pq,
-                          &pivot_pruned);
-    timer.Lap("scan");
-    ++loaded;
-  }
-  timer.Skip();
-  std::sort(results.begin(), results.end());
-  timer.Lap("merge");
-  if (telemetry::Enabled()) {
-    auto& reg = telemetry::Registry::Global();
-    reg.GetCounter("tardis.query.range.count").Add(1);
-    reg.GetCounter("tardis.query.range.candidates").Add(candidates);
-    if (failed > 0) reg.GetCounter("tardis.query.range.degraded").Add(1);
-  }
-  if (stats) {
-    stats->partitions_loaded = loaded;
-    stats->candidates = candidates;
-    stats->pivot_pruned = pivot_pruned;
-    stats->target_node_level = 0;
-    stats->partitions_requested = requested;
-    stats->partitions_failed = failed;
-    stats->results_complete = failed == 0;
-    stats->epoch_generation = epoch.generation;
-  }
-  return results;
+  QueryEngineStats batch;
+  TARDIS_ASSIGN_OR_RETURN(
+      std::vector<std::vector<Neighbor>> results,
+      QueryEngine(*this).RangeSearchBatch({query}, radius, &batch));
+  if (stats != nullptr) *stats = SingleQueryStats(batch);
+  return std::move(results[0]);
 }
 
 }  // namespace tardis

@@ -11,6 +11,7 @@
 #include "common/stopwatch.h"
 #include "common/telemetry.h"
 #include "common/thread_annotations.h"
+#include "core/query_engine.h"
 #include "ts/paa.h"
 #include "ts/znorm.h"
 
@@ -645,7 +646,7 @@ Result<std::vector<Record>> TardisIndex::LoadPartitionOnce(
   if (config_.clustered) {
     const std::vector<uint64_t>& delta_gens = DeltaGens(epoch, pid);
     if (delta_gens.empty()) return partitions_->ReadPartition(pid);
-    return partitions_->ReadPartitionWithDeltas(pid, delta_gens, nullptr);
+    return partitions_->ReadPartitionWithDeltas(pid, delta_gens);
   }
   // Un-clustered: reconstruct the partition's records by fetching each rid
   // from the base blocks — the refine phase's "expensive random I/O
@@ -691,35 +692,12 @@ Result<PartitionArena> TardisIndex::LoadPartitionArena(const IndexEpoch& epoch,
       [this, &epoch, pid] { return LoadPartitionArenaOnce(epoch, pid); });
 }
 
-namespace {
-// TARDIS_LAYOUT=aos keeps the legacy two-pass decode (records, then a copy
-// into the arena) alive as a measurable baseline while the columnar layout
-// lands; anything else — including unset — takes the single-pass decode.
-// Results are bit-identical either way; only the load cost differs.
-bool UseAosDecode() {
-  static const bool aos = [] {
-    const char* env = std::getenv("TARDIS_LAYOUT");
-    return env != nullptr && std::strcmp(env, "aos") == 0;
-  }();
-  return aos;
-}
-}  // namespace
-
 Result<PartitionArena> TardisIndex::LoadPartitionArenaOnce(
     const IndexEpoch& epoch, PartitionId pid) const {
   PartitionArena arena;
-  if (config_.clustered && !UseAosDecode()) {
+  if (config_.clustered) {
     TARDIS_ASSIGN_OR_RETURN(arena, partitions_->ReadPartitionArenaWithDeltas(
                                        pid, DeltaGens(epoch, pid)));
-  } else if (config_.clustered) {
-    // Transitional AoS decode: record loader first, then one conversion.
-    size_t num_base = 0;
-    TARDIS_ASSIGN_OR_RETURN(
-        std::vector<Record> records,
-        partitions_->ReadPartitionWithDeltas(pid, DeltaGens(epoch, pid),
-                                             &num_base));
-    arena = PartitionArena::FromRecords(records, series_length_);
-    arena.set_num_base_records(static_cast<uint32_t>(num_base));
   } else {
     // Un-clustered reconstruction (never carries deltas).
     TARDIS_ASSIGN_OR_RETURN(std::vector<Record> records,
@@ -774,77 +752,18 @@ Result<LocalIndex> TardisIndex::LoadLocalIndex(PartitionId pid) const {
 
 Result<std::vector<RecordId>> TardisIndex::ExactMatch(
     const TimeSeries& query, bool use_bloom, ExactMatchStats* stats) const {
-  telemetry::ScopedSpan span("query.exact");
-  if (telemetry::Enabled()) {
-    static telemetry::Counter& queries =
-        telemetry::Registry::Global().GetCounter("tardis.query.exact.count");
-    queries.Add(1);
+  QueryEngineStats batch;
+  TARDIS_ASSIGN_OR_RETURN(
+      std::vector<std::vector<RecordId>> results,
+      QueryEngine(*this).ExactMatchBatch({query}, use_bloom, &batch));
+  if (stats != nullptr) {
+    stats->bloom_negative = batch.bloom_negatives == 1;
+    stats->descent_failed = batch.descent_failures == 1;
+    stats->candidates = static_cast<uint32_t>(batch.candidates);
+    stats->partitions_loaded = static_cast<uint32_t>(batch.partitions_loaded);
+    stats->epoch_generation = batch.epoch_generation;
   }
-  const EpochPtr epoch_sp = CurrentEpoch();
-  const IndexEpoch& epoch = *epoch_sp;
-  if (stats) stats->epoch_generation = epoch.generation;
-  TimeSeries normalized;
-  std::vector<double> paa;
-  std::string sig;
-  TARDIS_RETURN_NOT_OK(PrepareQuery(query, &normalized, &paa, &sig));
-
-  // (2) traverse Tardis-G to identify the partition.
-  const PartitionId pid = epoch.global->LookupPartition(sig);
-  if (pid == kInvalidPartition) {
-    if (stats) stats->descent_failed = true;
-    return std::vector<RecordId>{};
-  }
-
-  // (3) Bloom filter test: a negative verdict proves absence without the
-  // high-latency partition load. Appends add their signatures to the (new
-  // epoch's) filter, so the verdict covers the delta tail too.
-  if (use_bloom && pid < epoch.blooms.size() && epoch.blooms[pid] != nullptr &&
-      !epoch.blooms[pid]->MayContain(sig)) {
-    if (stats) stats->bloom_negative = true;
-    return std::vector<RecordId>{};
-  }
-
-  // (4) load the partition, traverse Tardis-L to the leaf, verify raw data.
-  TARDIS_ASSIGN_OR_RETURN(LocalIndex local, LoadLocalIndex(pid));
-  if (stats) stats->partitions_loaded = 1;
-  // Descend stops either at a leaf whose signature prefix covers the query
-  // (candidates live in its clustered slice) or at an internal node with no
-  // matching child — which proves the series is absent (§V-A: "the failure
-  // of traversal in either Tardis-G or Tardis-L means a non-existent
-  // result") *among the base records*. Records appended after the build live
-  // in the delta tail the persisted tree does not cover, so a failed descent
-  // only proves absence when the tail is empty.
-  const SigTree::Node* leaf = local.tree().Descend(sig);
-  const bool leaf_ok = leaf->is_leaf();
-  if (!leaf_ok) {
-    if (stats) stats->descent_failed = true;
-    if (DeltaGens(epoch, pid).empty()) return std::vector<RecordId>{};
-  }
-  // Verify the leaf's slice (and the delta tail) against the raw query
-  // values.
-  TARDIS_ASSIGN_OR_RETURN(PartitionCache::Value loaded,
-                          LoadPartitionShared(epoch, pid));
-  const PartitionArena& arena = *loaded;
-  std::vector<RecordId> result;
-  if (leaf_ok) {
-    const uint32_t end = leaf->range_start + leaf->range_len;
-    for (uint32_t i = leaf->range_start; i < end && i < arena.num_records();
-         ++i) {
-      if (stats) ++stats->candidates;
-      // Element-wise float equality, matching the vector<float> == the AoS
-      // layout used (so -0.0/NaN semantics are unchanged).
-      if (std::equal(normalized.begin(), normalized.end(), arena.values(i))) {
-        result.push_back(arena.rid(i));
-      }
-    }
-  }
-  for (uint32_t i = arena.num_base_records(); i < arena.num_records(); ++i) {
-    if (stats) ++stats->candidates;
-    if (std::equal(normalized.begin(), normalized.end(), arena.values(i))) {
-      result.push_back(arena.rid(i));
-    }
-  }
-  return result;
+  return std::move(results[0]);
 }
 
 }  // namespace tardis

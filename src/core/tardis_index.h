@@ -3,7 +3,8 @@
 // Owns the build pipeline — Tardis-G construction, the partitioner shuffle,
 // per-partition Tardis-L + Bloom construction — and exposes the paper's
 // query algorithms (§V): exact match (with/without the Bloom filter) and the
-// three kNN-approximate strategies.
+// three kNN-approximate strategies. Exact match, kNN-approximate and range
+// search run as batches of one through QueryEngine (core/query_engine.h).
 //
 // Durable state is epoch-versioned (DESIGN.md §11, storage/manifest.h):
 // every Build/Append writes immutable artifacts and commits them by writing
@@ -33,6 +34,8 @@
 #include "storage/partition_store.h"
 
 namespace tardis {
+
+struct QueryEngineStats;
 
 // One approximate nearest neighbour: (distance, record id).
 struct Neighbor {
@@ -65,7 +68,6 @@ struct ExactMatchStats {
 
 struct KnnStats {
   uint32_t partitions_loaded = 0;
-  uint32_t target_node_level = 0;
   uint64_t candidates = 0;  // raw series ranked by true distance
   // Records skipped by the pivot triangle-inequality bound before the
   // distance kernel (core/pivots.h). Always 0 when the index has no pivots
@@ -177,15 +179,17 @@ class TardisIndex {
 
   // --- Exact Match (paper §V-A) ---
   // Returns the record ids whose series equals `query` exactly. The query is
-  // z-normalised internally. `use_bloom` selects between the Bloom-filtered
-  // algorithm and the Non-Bloom variant. `stats` may be null.
+  // expected in the indexed (z-normalised) space. `use_bloom` selects
+  // between the Bloom-filtered algorithm and the Non-Bloom variant. Runs as
+  // QueryEngine::ExactMatchBatch over this one query. `stats` may be null.
   Result<std::vector<RecordId>> ExactMatch(const TimeSeries& query,
                                            bool use_bloom,
                                            ExactMatchStats* stats) const;
 
   // --- kNN Approximate (paper §V-B, Alg. 1) ---
-  // Returns up to k neighbours sorted by true Euclidean distance. `stats`
-  // may be null.
+  // Returns up to k neighbours sorted by true Euclidean distance. Runs as
+  // QueryEngine::KnnApproximateBatch over this one query. `stats` may be
+  // null.
   Result<std::vector<Neighbor>> KnnApproximate(const TimeSeries& query,
                                                uint32_t k,
                                                KnnStrategy strategy,
@@ -195,7 +199,8 @@ class TardisIndex {
   // Returns every record with ED(query, record) <= radius, sorted by
   // distance. Partitions and Tardis-L subtrees whose lower bound exceeds the
   // radius are pruned; results are verified on raw values, so the answer is
-  // exact. `stats` may be null.
+  // exact. Runs as QueryEngine::RangeSearchBatch over this one query.
+  // `stats` may be null.
   Result<std::vector<Neighbor>> RangeSearch(const TimeSeries& query,
                                             double radius,
                                             KnnStats* stats) const;
@@ -220,11 +225,11 @@ class TardisIndex {
   // keep answering from their pinned epoch snapshot.
   Result<std::vector<RecordId>> Append(const Dataset& batch);
 
-  // Loads a partition and its Tardis-L (per-query disk reads, as in the
-  // paper's query path), against the *current* epoch. Exposed for tests and
-  // tooling. LoadPartition (legacy AoS records, kept for tooling) and
-  // LoadPartitionArena (columnar, single decode pass) always go to disk; the
-  // query algorithms go through LoadPartitionShared, which serves repeated
+  // Loads a partition and its Tardis-L against the *current* epoch. Exposed
+  // for tests and tooling. LoadPartition (AoS records, kept for the build's
+  // Bloom pass and tooling) and LoadPartitionArena (columnar, single decode
+  // pass) always go to disk. The query algorithms (QueryEngine and KnnExact)
+  // load through the epoch-pinned LoadPartitionShared, which serves repeated
   // arena loads from the byte-budgeted partition cache when one is
   // configured, keyed by (partition, content generation). All loaders retry
   // transient failures under the configured RetryPolicy.
@@ -296,9 +301,12 @@ class TardisIndex {
   Status PrepareQuery(const TimeSeries& query, TimeSeries* normalized,
                       std::vector<double>* paa, std::string* sig) const;
 
+  // The KnnStats of a kNN or range batch of one.
+  static KnnStats SingleQueryStats(const QueryEngineStats& batch);
+
   // Sibling partitions for the Multi-Partitions kNN strategy, capped at
   // config_.pth with a deterministic (signature, seed) selection that always
-  // keeps `home` first. Shared by KnnApproximate and the batched engine.
+  // keeps `home` first. Used by QueryEngine::KnnApproximateBatch.
   std::vector<PartitionId> SelectMultiPartitions(const GlobalIndex& global,
                                                  std::string_view sig,
                                                  PartitionId home) const;

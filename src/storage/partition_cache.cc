@@ -104,15 +104,20 @@ void PartitionCache::InsertAndEvict(Shard& shard, Key key, Value value,
   shard.bytes += bytes;
   resident_bytes_->Add(static_cast<int64_t>(bytes));
   resident_partitions_->Add(1);
+  EvictToBudget(shard);
+}
+
+void PartitionCache::EvictToBudget(Shard& shard) {
   while (shard.bytes > shard_budget_ && !shard.lru.empty()) {
     // Least-recently-used *unpinned* entry; if everything resident is
     // pinned, the shard stays over budget until a pin drops. With any
-    // positive budget the just-inserted entry is also exempt, so one
-    // oversized partition is served rather than thrashed (a zero budget
-    // keeps the documented insert-then-evict degenerate semantics).
+    // positive budget the most-recently-used entry (on insert, the one just
+    // inserted) is also exempt, so one oversized partition is served rather
+    // than thrashed (a zero budget keeps the documented insert-then-evict
+    // degenerate semantics).
     auto victim_it = shard.lru.end();
     for (auto rit = shard.lru.rbegin(); rit != shard.lru.rend(); ++rit) {
-      if (shard_budget_ > 0 && *rit == key) continue;
+      if (shard_budget_ > 0 && *rit == shard.lru.front()) continue;
       if (shard.pins.find(*rit) == shard.pins.end()) {
         victim_it = std::prev(rit.base());
         break;
@@ -144,6 +149,9 @@ void PartitionCache::Unpin(Key key) {
   if (--it->second == 0) {
     shard.pins.erase(it);
     pinned_partitions_->Add(-1);
+    // The entry was exempt from eviction while pinned; bring the shard back
+    // under its budget now that it is not.
+    EvictToBudget(shard);
   }
 }
 

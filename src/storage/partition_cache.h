@@ -93,7 +93,9 @@ class PartitionCache {
   // entry is next inserted. Used by the batched QueryEngine to keep a
   // batch's partitions resident across its scheduling phases.
   void Pin(Key key);
-  // Decrements the pin count; a no-op when the key is not pinned.
+  // Decrements the pin count; a no-op when the key is not pinned. When the
+  // count reaches zero the shard evicts back down to its budget slice, so
+  // resident bytes exceed the budget only while pins are held.
   void Unpin(Key key);
 
   // Drops `key` from the cache (after a partition rewrite destroys the
@@ -165,6 +167,9 @@ class PartitionCache {
   // back under its budget slice.
   void InsertAndEvict(Shard& shard, Key key, Value value,
                       uint64_t bytes) TARDIS_REQUIRES(shard.mu);
+  // Evicts unpinned LRU entries until the shard is within its budget slice,
+  // sparing its most-recently-used entry. A no-op when already within it.
+  void EvictToBudget(Shard& shard) TARDIS_REQUIRES(shard.mu);
 
   uint64_t budget_bytes_;
   uint64_t shard_budget_;

@@ -253,10 +253,8 @@ Result<PartitionArena> PartitionStore::ReadPartitionArenaWithDeltas(
 }
 
 Result<std::vector<Record>> PartitionStore::ReadPartitionWithDeltas(
-    PartitionId pid, const std::vector<uint64_t>& delta_gens,
-    size_t* num_base_records) const {
+    PartitionId pid, const std::vector<uint64_t>& delta_gens) const {
   TARDIS_ASSIGN_OR_RETURN(std::vector<Record> records, ReadPartition(pid));
-  if (num_base_records != nullptr) *num_base_records = records.size();
   const size_t rec_size = RecordEncodedSize(series_length_);
   for (const uint64_t gen : delta_gens) {
     TARDIS_ASSIGN_OR_RETURN(std::string delta,

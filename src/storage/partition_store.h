@@ -65,11 +65,9 @@ class PartitionStore {
   Result<PartitionArena> ReadPartitionArenaWithDeltas(
       PartitionId pid, const std::vector<uint64_t>& delta_gens) const;
 
-  // AoS counterpart for build/append/tooling paths. When `num_base_records`
-  // is non-null it receives the base file's row count.
+  // AoS counterpart for build/append/tooling paths.
   Result<std::vector<Record>> ReadPartitionWithDeltas(
-      PartitionId pid, const std::vector<uint64_t>& delta_gens,
-      size_t* num_base_records) const;
+      PartitionId pid, const std::vector<uint64_t>& delta_gens) const;
 
   // Deletes partition `pid`'s record file (used by un-clustered indexes,
   // which keep only sidecars). Missing files are not an error.

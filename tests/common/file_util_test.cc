@@ -12,16 +12,12 @@ namespace {
 
 namespace fs = std::filesystem;
 
+// Each case gets its own directory: ctest runs the cases as separate
+// processes, possibly in parallel.
 class FileUtilTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = fs::temp_directory_path() / "tardis_file_util_test";
-    fs::remove_all(dir_);
-    fs::create_directories(dir_);
-  }
-  void TearDown() override { fs::remove_all(dir_); }
-
-  fs::path dir_;
+  ScopedTempDir tmp_;
+  const fs::path dir_{tmp_.path()};
 };
 
 TEST_F(FileUtilTest, RoundTrip) {

@@ -1,16 +1,13 @@
-// Stats parity between the sequential query path (TardisIndex::KnnApproximate)
-// and the partition-batched engine (QueryEngine::KnnApproximateBatch).
-//
-// Both paths share the qscan primitives and must account identically:
+// Stats parity between single queries (TardisIndex::KnnApproximate, a batch
+// of one), whole batches (QueryEngine::KnnApproximateBatch), and the frozen
+// one-query-at-a-time reference (reference_knn.h):
 //  - candidate counts are bit-identical per strategy — in particular the
 //    target-node slice is counted exactly once even though One-Partition and
 //    Multi-Partitions rank it in the seed pass and then prune the rest of
 //    the home partition (the historical double count);
-//  - a single-query batch reports the same coverage stats (requested /
-//    failed / loaded / results_complete) as the sequential call, including
-//    when the home partition file has been deleted out from under the index
-//    (degraded mode), where both paths must also report target_node_level 0
-//    rather than a stale value.
+//  - the single-query stats are the batch-of-one stats, field by field;
+//  - with the home partition file deleted out from under the index
+//    (degraded mode), a query reports exactly the coverage it lost.
 
 #include <algorithm>
 #include <cstdio>
@@ -22,6 +19,7 @@
 
 #include "core/query_engine.h"
 #include "core/tardis_index.h"
+#include "reference_knn.h"
 #include "test_util.h"
 #include "workload/datasets.h"
 
@@ -63,9 +61,9 @@ class QueryStatsParityTest : public ::testing::Test {
     ASSERT_GE(queries_.size(), 10u);
   }
 
-  // Sequential aggregate over `queries` for one strategy.
+  // Aggregate of one KnnApproximate call per query for one strategy.
   struct SeqAgg {
-    uint64_t candidates = 0;
+    uint64_t candidates = 0, pivot_pruned = 0;
     uint64_t requested = 0, failed = 0, loaded = 0;
     bool complete = true;
   };
@@ -77,6 +75,7 @@ class QueryStatsParityTest : public ::testing::Test {
       auto result = index_->KnnApproximate(query, kK, strategy, &stats);
       EXPECT_TRUE(result.ok()) << result.status().ToString();
       agg.candidates += stats.candidates;
+      agg.pivot_pruned += stats.pivot_pruned;
       agg.requested += stats.partitions_requested;
       agg.failed += stats.partitions_failed;
       agg.loaded += stats.partitions_loaded;
@@ -94,8 +93,8 @@ class QueryStatsParityTest : public ::testing::Test {
 };
 
 // The core double-count regression check: per-strategy batch candidate
-// totals equal the sum of the sequential per-query counts, and no query
-// counts more candidates than the records it could have touched.
+// totals equal the sum of the single-query counts and of the frozen
+// reference's counts.
 TEST_F(QueryStatsParityTest, CandidateCountsMatchBatchedEngine) {
   QueryEngine engine(*index_);
   for (KnnStrategy strategy :
@@ -103,10 +102,23 @@ TEST_F(QueryStatsParityTest, CandidateCountsMatchBatchedEngine) {
         KnnStrategy::kMultiPartitions}) {
     SCOPED_TRACE(KnnStrategyName(strategy));
     const SeqAgg seq = RunSequential(strategy, queries_);
+    uint64_t ref_candidates = 0;
+    for (const TimeSeries& query : queries_) {
+      ASSERT_OK_AND_ASSIGN(reference::KnnAnswer ref,
+                           reference::KnnApproximate(*index_, query, kK,
+                                                     strategy));
+      ref_candidates += ref.candidates;
+    }
     QueryEngineStats batch;
     auto results = engine.KnnApproximateBatch(queries_, kK, strategy, &batch);
     ASSERT_TRUE(results.ok()) << results.status().ToString();
     EXPECT_EQ(batch.candidates, seq.candidates);
+    EXPECT_EQ(batch.candidates, ref_candidates);
+    EXPECT_EQ(batch.pivot_pruned, seq.pivot_pruned);
+    EXPECT_EQ(batch.logical_partition_loads, seq.loaded);
+    EXPECT_EQ(seq.requested, seq.loaded);
+    EXPECT_EQ(seq.failed, 0u);
+    EXPECT_TRUE(seq.complete);
     EXPECT_TRUE(batch.results_complete);
   }
 }
@@ -131,9 +143,8 @@ TEST_F(QueryStatsParityTest, OnePartitionCountsEachRecordOnce) {
   }
 }
 
-// A single-query batch must report exactly the stats the sequential call
-// reports — the batched engine is an execution strategy, not a different
-// query semantics.
+// The single-query API is a batch of one: its stats are the batch-of-one
+// stats, field by field, and its result is the batch's.
 TEST_F(QueryStatsParityTest, SingleQueryBatchCoverageMatchesSequential) {
   QueryEngine engine(*index_);
   for (KnnStrategy strategy :
@@ -151,21 +162,22 @@ TEST_F(QueryStatsParityTest, SingleQueryBatchCoverageMatchesSequential) {
           engine.KnnApproximateBatch(one_query, kK, strategy, &batch);
       ASSERT_TRUE(batch_result.ok());
       EXPECT_EQ(batch.candidates, seq.candidates);
+      EXPECT_EQ(batch.pivot_pruned, seq.pivot_pruned);
       EXPECT_EQ(batch.partitions_requested, seq.partitions_requested);
       EXPECT_EQ(batch.partitions_failed, seq.partitions_failed);
       EXPECT_EQ(batch.partitions_loaded, seq.partitions_loaded);
       EXPECT_EQ(batch.results_complete, seq.results_complete);
+      EXPECT_EQ(batch.epoch_generation, seq.epoch_generation);
       EXPECT_EQ((*batch_result)[0], *seq_result);
     }
   }
 }
 
-// Injected home failure: delete the home partition's record file, then both
-// paths must degrade identically — same coverage stats, same results, and
-// target_node_level pinned to 0 (not left stale) on the sequential path.
+// Injected home failure: delete the home partition's record file. The query
+// skips it and keeps answering: Target-Node and One-Partition have nothing
+// left to scan, Multi-Partitions scans the siblings unpruned, and every
+// strategy reports one failed partition out of those it requested.
 TEST_F(QueryStatsParityTest, DegradedHomeEmitsIdenticalCoverageStats) {
-  // Find the home partition of query 0 by observing which partition a
-  // Target-Node query loads, then delete its record file.
   index_->SetCacheBudget(0);  // no cache: the deletion is visible immediately
   const TimeSeries& query = queries_[0];
   KnnStats probe;
@@ -173,7 +185,13 @@ TEST_F(QueryStatsParityTest, DegradedHomeEmitsIdenticalCoverageStats) {
       index_->KnnApproximate(query, kK, KnnStrategy::kTargetNode, &probe)
           .ok());
   ASSERT_EQ(probe.partitions_loaded, 1u);
-  ASSERT_GT(probe.target_node_level, 0u);
+  KnnStats multi_probe;
+  ASSERT_TRUE(index_
+                  ->KnnApproximate(query, kK, KnnStrategy::kMultiPartitions,
+                                   &multi_probe)
+                  .ok());
+  const uint32_t multi_requested = multi_probe.partitions_requested;
+  ASSERT_GE(multi_requested, 2u) << "query 0 needs sibling partitions";
   // Deleting every partition file would break sibling loads too; find the
   // home pid by checking which deletion degrades the Target-Node query.
   uint32_t home = index_->num_partitions();
@@ -194,31 +212,27 @@ TEST_F(QueryStatsParityTest, DegradedHomeEmitsIdenticalCoverageStats) {
   }
   ASSERT_LT(home, index_->num_partitions()) << "home partition not found";
 
-  QueryEngine engine(*index_);
-  const std::vector<TimeSeries> one_query{query};
   for (KnnStrategy strategy :
        {KnnStrategy::kTargetNode, KnnStrategy::kOnePartition,
         KnnStrategy::kMultiPartitions}) {
     SCOPED_TRACE(KnnStrategyName(strategy));
-    KnnStats seq;
-    seq.target_node_level = 77;  // stale value: the query must overwrite it
-    auto seq_result = index_->KnnApproximate(query, kK, strategy, &seq);
-    ASSERT_TRUE(seq_result.ok()) << seq_result.status().ToString();
-    EXPECT_EQ(seq.partitions_failed, 1u);
-    EXPECT_FALSE(seq.results_complete);
-    EXPECT_EQ(seq.target_node_level, 0u)
-        << "degraded home must report level 0, not a stale value";
-
-    QueryEngineStats batch;
-    auto batch_result =
-        engine.KnnApproximateBatch(one_query, kK, strategy, &batch);
-    ASSERT_TRUE(batch_result.ok()) << batch_result.status().ToString();
-    EXPECT_EQ(batch.candidates, seq.candidates);
-    EXPECT_EQ(batch.partitions_requested, seq.partitions_requested);
-    EXPECT_EQ(batch.partitions_failed, seq.partitions_failed);
-    EXPECT_EQ(batch.partitions_loaded, seq.partitions_loaded);
-    EXPECT_EQ(batch.results_complete, seq.results_complete);
-    EXPECT_EQ((*batch_result)[0], *seq_result);
+    const bool multi = strategy == KnnStrategy::kMultiPartitions;
+    KnnStats stats;
+    auto result = index_->KnnApproximate(query, kK, strategy, &stats);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    const uint32_t requested = multi ? multi_requested : 1;
+    EXPECT_EQ(stats.partitions_requested, requested);
+    EXPECT_EQ(stats.partitions_failed, 1u);
+    EXPECT_EQ(stats.partitions_loaded, requested - 1);
+    EXPECT_FALSE(stats.results_complete);
+    if (multi) {
+      // The siblings still answer, unpruned by a home threshold.
+      EXPECT_EQ(result->size(), kK);
+      EXPECT_GT(stats.candidates, 0u);
+    } else {
+      EXPECT_TRUE(result->empty());
+      EXPECT_EQ(stats.candidates, 0u);
+    }
   }
 }
 

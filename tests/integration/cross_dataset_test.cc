@@ -3,6 +3,8 @@
 
 #include <algorithm>
 #include <numeric>
+#include <ostream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -117,6 +119,19 @@ struct ConfigPoint {
   double sample;
 };
 
+// A readable, build-stable label (e.g. b6_g300_l50_s10), used as the test
+// name and as the printed parameter. gtest would otherwise print the
+// struct's bytes, padding included, and both end up in the ctest name.
+std::string ConfigPointName(const ConfigPoint& p) {
+  return "b" + std::to_string(p.bits) + "_g" + std::to_string(p.g_max) +
+         "_l" + std::to_string(p.l_max) + "_s" +
+         std::to_string(static_cast<int>(p.sample));
+}
+
+void PrintTo(const ConfigPoint& p, std::ostream* os) {
+  *os << ConfigPointName(p);
+}
+
 class ConfigSweepTest : public ::testing::TestWithParam<ConfigPoint> {};
 
 TEST_P(ConfigSweepTest, BuildAndQueryInvariantsHold) {
@@ -167,7 +182,10 @@ INSTANTIATE_TEST_SUITE_P(
                       ConfigPoint{6, 1000, 200, 10.0},
                       ConfigPoint{6, 300, 50, 1.0},
                       ConfigPoint{6, 300, 50, 100.0},
-                      ConfigPoint{6, 5000, 1000, 50.0}));
+                      ConfigPoint{6, 5000, 1000, 50.0}),
+    [](const ::testing::TestParamInfo<ConfigPoint>& info) {
+      return ConfigPointName(info.param);
+    });
 
 // --- Sweep 3: TARDIS vs baseline accuracy across datasets ----------------
 

@@ -232,6 +232,35 @@ TEST(PartitionCacheTest, PinIsRefCountedAndSurvivesWhenAllPinned) {
   EXPECT_EQ(cache.Snapshot().resident_partitions, 1u);
 }
 
+TEST(PartitionCacheTest, UnpinEvictsBackUnderBudget) {
+  // Two shards of two entries each. A batch pins ten partitions, so the
+  // cache holds all ten while the pins last; the last unpin of each entry
+  // brings its shard back under budget without waiting for another insert.
+  const uint64_t one = PartitionCache::ChargedBytes(MakeArena(0, 4, 8));
+  PartitionCache cache(4 * one, /*num_shards=*/2);
+  std::atomic<uint32_t> calls{0};
+  for (PartitionCache::Key key = 0; key < 10; ++key) {
+    cache.Pin(key);
+    ASSERT_OK(cache.GetOrLoad(key, CountingLoader(&calls, 10 * key)).status());
+  }
+  PartitionCacheStats stats = cache.Snapshot();
+  EXPECT_EQ(stats.resident_bytes, 10 * one);
+  EXPECT_EQ(stats.evictions, 0u);
+
+  for (PartitionCache::Key key = 0; key < 10; ++key) cache.Unpin(key);
+  stats = cache.Snapshot();
+  EXPECT_EQ(stats.pinned_partitions, 0u);
+  EXPECT_LE(stats.resident_bytes, cache.budget_bytes());
+  EXPECT_EQ(stats.resident_partitions, 4u);
+  EXPECT_EQ(stats.evictions, 6u);
+
+  // The survivors are each shard's most recently used entries.
+  for (PartitionCache::Key key : {6, 7, 8, 9}) {
+    EXPECT_TRUE(cache.IsResident(key)) << key;
+  }
+  EXPECT_EQ(calls.load(), 10u);
+}
+
 TEST(PartitionCacheTest, InvalidateDropsPinnedEntries) {
   // Pins protect residency, not freshness: explicit invalidation wins (the
   // index uses it when a partition's bytes change on disk).

@@ -4,7 +4,8 @@
 Usage:
     python3 tools/lint/tardis_lint.py [--root REPO_ROOT]
 
-Scans the C++ sources under src/ (and headers under fuzz/) and enforces:
+Scans the C++ sources under src/ and fuzz/ and enforces the rules below;
+the tests under tests/ are scanned for fixed-temp-path only:
 
   raw-mutex      No raw std::mutex / std::condition_variable /
                  std::lock_guard / std::unique_lock / std::scoped_lock /
@@ -31,6 +32,15 @@ Scans the C++ sources under src/ (and headers under fuzz/) and enforces:
                  for [[nodiscard]] Status values) must carry a comment on
                  the same line or the line above justifying why dropping
                  the value is correct.
+
+  fixed-temp-path
+                 No fixed temporary paths: std::filesystem::
+                 temp_directory_path() outside tests/test_util.h, and no
+                 string literal starting with "/tmp/". ctest runs every test
+                 case as its own process, in parallel under -j, so a shared
+                 fixed directory lets one case delete another's files. Use
+                 ScopedTempDir (tests/test_util.h), which is unique per
+                 process and instance.
 
 Suppression: append `// tardis-lint: allow(<rule>) <reason>` to the
 offending line (or the line above it). The reason is mandatory — a bare
@@ -64,6 +74,10 @@ DIRECT_WRITE_RES = [
     re.compile(r"\bfwrite\s*\("),
 ]
 VOID_DISCARD_RE = re.compile(r"^\s*\(void\)\s*\w")
+FIXED_TEMP_RES = [
+    re.compile(r"\btemp_directory_path\s*\("),
+    re.compile(r"\"/tmp/"),
+]
 ALLOW_RE = re.compile(r"tardis-lint:\s*allow\((?P<rule>[\w,-]+)\)\s*(?P<reason>.*)")
 
 # Files owning the temp+rename/CRC-frame write discipline.
@@ -74,6 +88,8 @@ DIRECT_WRITE_ALLOWLIST = {
 }
 # The wrapper header itself defines the annotated types over the std ones.
 RAW_MUTEX_ALLOWLIST = {"src/common/thread_annotations.h"}
+# ScopedTempDir builds its unique directory under the system temp dir.
+FIXED_TEMP_ALLOWLIST = {"tests/test_util.h"}
 
 
 def allowed(lines, idx, rule):
@@ -92,13 +108,33 @@ def allowed(lines, idx, rule):
     return False, None
 
 
-def lint_file(path: Path, rel: str, findings: list):
+def lint_temp_paths(lines, rel: str, findings: list):
+    if rel in FIXED_TEMP_ALLOWLIST:
+        return
+    for i, line in enumerate(lines):
+        code = line.split("//", 1)[0]  # ignore matches inside comments
+        if not any(r.search(code) for r in FIXED_TEMP_RES):
+            continue
+        ok, err = allowed(lines, i, "fixed-temp-path")
+        if err:
+            findings.append((rel, i + 1, "fixed-temp-path", err))
+        elif not ok:
+            findings.append(
+                (rel, i + 1, "fixed-temp-path",
+                 "fixed temporary path; use ScopedTempDir "
+                 "(tests/test_util.h)"))
+
+
+def lint_file(path: Path, rel: str, findings: list, tests_only: bool):
     try:
         text = path.read_text(encoding="utf-8", errors="replace")
     except OSError as e:
         findings.append((rel, 0, "io", f"cannot read: {e}"))
         return
     lines = text.split("\n")
+    lint_temp_paths(lines, rel, findings)
+    if tests_only:
+        return
     file_has_annotation = ANNOTATION_USE_RE.search(text) is not None
 
     for i, line in enumerate(lines):
@@ -160,17 +196,18 @@ def main():
     args = ap.parse_args()
 
     root = Path(args.root) if args.root else Path(__file__).resolve().parents[2]
-    scan_dirs = [root / "src", root / "fuzz"]
+    scan_dirs = [(root / "src", False), (root / "fuzz", False),
+                 (root / "tests", True)]
     findings = []
     n_files = 0
-    for d in scan_dirs:
+    for d, tests_only in scan_dirs:
         if not d.is_dir():
             continue
         for path in sorted(d.rglob("*")):
             if path.suffix not in (".h", ".cc"):
                 continue
             n_files += 1
-            lint_file(path, str(path.relative_to(root)), findings)
+            lint_file(path, str(path.relative_to(root)), findings, tests_only)
 
     for rel, line, rule, msg in findings:
         print(f"{rel}:{line}: [{rule}] {msg}")
